@@ -44,7 +44,7 @@ type recorder struct {
 }
 
 // MemEvent implements sim.MemObserver.
-func (r *recorder) MemEvent(ev sim.MemEvent) {
+func (r *recorder) MemEvent(ev *sim.MemEvent) {
 	l := traceLine{
 		T: "mem", At: int64(ev.At), Kind: int32(ev.Kind), TID: ev.TID,
 		Word: -1, Old: ev.Old, New: ev.New, Wrote: ev.Wrote, Arg: ev.Arg, Rel: ev.Rel,

@@ -44,7 +44,6 @@ package check
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -149,6 +148,15 @@ func slot(tid int32) int { return int(tid) + 2 }
 
 func slotTID(s int) int32 { return int32(s) - 2 }
 
+// growTo extends s with zero values until it has at least n entries.
+func growTo[T any](s []T, n int) []T {
+	for len(s) < n {
+		var zero T
+		s = append(s, zero)
+	}
+	return s
+}
+
 func (v vclock) get(i int) uint64 {
 	if i < len(v) {
 		return v[i]
@@ -156,24 +164,18 @@ func (v vclock) get(i int) uint64 {
 	return 0
 }
 
-func (v *vclock) grow(n int) {
-	for len(*v) < n {
-		*v = append(*v, 0)
-	}
-}
-
 func (v *vclock) set(i int, x uint64) {
-	v.grow(i + 1)
+	*v = growTo(*v, i+1)
 	(*v)[i] = x
 }
 
 func (v *vclock) tick(i int) {
-	v.grow(i + 1)
+	*v = growTo(*v, i+1)
 	(*v)[i]++
 }
 
 func (v *vclock) join(o vclock) {
-	v.grow(len(o))
+	*v = growTo(*v, len(o))
 	for i, x := range o {
 		if x > (*v)[i] {
 			(*v)[i] = x
@@ -193,39 +195,52 @@ type raceWord struct {
 	modAt []sim.Time
 }
 
-// raceSpin is one live spin op (between MemSpinStart and MemSpinExit).
-type raceSpin struct {
-	watch []int32
-	since sim.Time
+// raceThread is the auditor's per-thread view, indexed by slot.
+type raceThread struct {
+	clock vclock
+	// spinning marks a live spin op (between MemSpinStart and
+	// MemSpinExit); watch and since describe it. watch owns its backing
+	// array, reused across spins.
+	spinning bool
+	watch    []int32
+	since    sim.Time
+	// waitingOn is the lock the thread last spun or blocked on, lastLock
+	// the lock of its latest lock event; -1 when none.
+	waitingOn int32
+	lastLock  int32
 }
 
-// raceLock is the auditor's per-lock view from the lock-event stream.
+// raceLock is the auditor's per-lock view from the lock-event stream:
+// the holder set as a bitmap over slots plus its size.
 type raceLock struct {
-	holders      map[int32]struct{}
+	held         []uint64
+	holders      int
 	lastActivity sim.Time
 }
 
 // RaceAuditor consumes the Word-access and lock-event streams and
 // reports virtual-time data races. Attach to a live machine with
 // AttachRace, or feed a recorded stream to Apply/LockEvent and call
-// Finish. All state is rebuilt purely from events; results are
-// deterministic (races are appended in stream order, end-of-run scans
-// iterate sorted).
+// Finish. All state is rebuilt purely from events and kept in dense
+// slices indexed by slot, word id and lock id, so a warm auditor
+// allocates nothing per event; results are deterministic (races are
+// appended in stream order, end-of-run scans walk slots in ascending
+// order).
 type RaceAuditor struct {
 	m *sim.Machine // nil in replay mode
 	o RaceOptions
 
-	clocks map[int32]*vclock
-	words  map[int32]*raceWord
+	threads []raceThread
+	words   []raceWord
+	locks   []raceLock
 	// global is the join of every writer clock, acquired by unscoped
 	// spin exits (their conditions may read any word).
-	global vclock
+	global   vclock
+	lockName func(int32) string
 
-	spins     map[int32]*raceSpin
-	locks     map[int32]*raceLock
-	waitingOn map[int32]int32 // tid -> lock it last spun/blocked on
-	lastLock  map[int32]int32 // tid -> lock of its latest lock event
-	lockName  func(int32) string
+	// acc and watch are the scratch record MemEvent converts into.
+	acc   MemAccess
+	watch [3]int32
 
 	races []Race
 	// Total counts all races, including ones beyond MaxRaces.
@@ -236,16 +251,7 @@ type RaceAuditor struct {
 // NewRaceAuditor builds a detached auditor for offline replay.
 func NewRaceAuditor(o RaceOptions) *RaceAuditor {
 	o.fill()
-	return &RaceAuditor{
-		o:         o,
-		clocks:    make(map[int32]*vclock),
-		words:     make(map[int32]*raceWord),
-		spins:     make(map[int32]*raceSpin),
-		locks:     make(map[int32]*raceLock),
-		waitingOn: make(map[int32]int32),
-		lastLock:  make(map[int32]int32),
-		lockName:  func(int32) string { return "" },
-	}
+	return &RaceAuditor{o: o, lockName: func(int32) string { return "" }}
 }
 
 // AttachRace installs an auditor on m: it becomes the machine's
@@ -268,39 +274,38 @@ func (a *RaceAuditor) SetLockNames(names map[int32]string) {
 // Races returns the stored races (the full set after Finish).
 func (a *RaceAuditor) Races() []Race { return a.races }
 
-// MemEvent implements sim.MemObserver.
-func (a *RaceAuditor) MemEvent(ev sim.MemEvent) {
-	acc := MemAccess{
-		At: ev.At, Kind: ev.Kind, TID: ev.TID, Word: -1,
-		Old: ev.Old, New: ev.New, Wrote: ev.Wrote, Arg: ev.Arg, Rel: ev.Rel,
-	}
+// MemEvent implements sim.MemObserver. ev is the machine's scratch
+// record; it is converted field by field into the auditor's own scratch
+// MemAccess, whose Watch uses a fixed buffer.
+func (a *RaceAuditor) MemEvent(ev *sim.MemEvent) {
+	acc := &a.acc
+	acc.At, acc.Kind, acc.TID, acc.Word, acc.Name = ev.At, ev.Kind, ev.TID, -1, ""
+	acc.Old, acc.New, acc.Wrote, acc.Arg, acc.Rel = ev.Old, ev.New, ev.Wrote, ev.Arg, ev.Rel
+	acc.Watch = a.watch[:0]
 	if ev.W != nil {
-		acc.Word = ev.W.ID()
-		acc.Name = ev.W.Name()
+		acc.Word, acc.Name = ev.W.ID(), ev.W.Name()
 	}
 	for _, w := range ev.Watch {
 		if w != nil {
 			acc.Watch = append(acc.Watch, w.ID())
 		}
 	}
-	a.Apply(acc)
+	a.apply(acc)
 }
 
-func (a *RaceAuditor) clockOf(tid int32) *vclock {
-	c, ok := a.clocks[tid]
-	if !ok {
-		c = &vclock{}
-		a.clocks[tid] = c
+// thread returns tid's state, growing the slot table as needed. The
+// pointer is valid until the next call that may grow the table.
+func (a *RaceAuditor) thread(tid int32) *raceThread {
+	s := slot(tid)
+	for len(a.threads) <= s {
+		a.threads = append(a.threads, raceThread{waitingOn: -1, lastLock: -1})
 	}
-	return c
+	return &a.threads[s]
 }
 
 func (a *RaceAuditor) wordByID(id int32, name string) *raceWord {
-	w, ok := a.words[id]
-	if !ok {
-		w = &raceWord{}
-		a.words[id] = w
-	}
+	a.words = growTo(a.words, int(id)+1)
+	w := &a.words[id]
 	if w.name == "" {
 		w.name = name
 	}
@@ -308,29 +313,29 @@ func (a *RaceAuditor) wordByID(id int32, name string) *raceWord {
 }
 
 func (a *RaceAuditor) lockState(id int32) *raceLock {
-	l, ok := a.locks[id]
-	if !ok {
-		l = &raceLock{holders: make(map[int32]struct{})}
-		a.locks[id] = l
-	}
-	return l
+	a.locks = growTo(a.locks, int(id)+1)
+	return &a.locks[id]
 }
 
-// Apply feeds one Word-access record through the detector.
-func (a *RaceAuditor) Apply(acc MemAccess) {
+// Apply feeds one recorded Word-access record through the detector
+// (the offline replay API).
+func (a *RaceAuditor) Apply(acc MemAccess) { a.apply(&acc) }
+
+func (a *RaceAuditor) apply(acc *MemAccess) {
 	switch acc.Kind {
 	case sim.MemLoad:
-		a.clockOf(acc.TID).join(a.wordByID(acc.Word, acc.Name).rel)
-	case sim.MemRMW, sim.MemKernel:
-		c := a.clockOf(acc.TID)
 		w := a.wordByID(acc.Word, acc.Name)
+		a.thread(acc.TID).clock.join(w.rel)
+	case sim.MemRMW, sim.MemKernel:
+		w := a.wordByID(acc.Word, acc.Name)
+		c := &a.thread(acc.TID).clock
 		c.join(w.rel)
 		if acc.Wrote {
 			a.release(acc, c, w)
 		}
 	case sim.MemStore:
-		c := a.clockOf(acc.TID)
 		w := a.wordByID(acc.Word, acc.Name)
+		c := &a.thread(acc.TID).clock
 		if acc.Rel {
 			// A release-annotated store is synchronization, not a plain
 			// write: like an RMW it joins the word's clock and is never a
@@ -342,45 +347,48 @@ func (a *RaceAuditor) Apply(acc MemAccess) {
 		}
 		a.release(acc, c, w)
 	case sim.MemSpinStart:
-		if s, ok := a.spins[acc.TID]; ok {
-			// A resumed leg of the same (preempted) spin: keep since.
-			s.watch = acc.Watch
-		} else {
-			a.spins[acc.TID] = &raceSpin{watch: acc.Watch, since: acc.At}
+		th := a.thread(acc.TID)
+		// A resumed leg of the same (preempted) spin keeps since.
+		if !th.spinning {
+			th.spinning = true
+			th.since = acc.At
 		}
+		th.watch = append(th.watch[:0], acc.Watch...)
 	case sim.MemSpinExit:
-		c := a.clockOf(acc.TID)
+		for _, id := range acc.Watch {
+			a.wordByID(id, "")
+		}
+		th := a.thread(acc.TID)
 		if len(acc.Watch) == 0 {
-			c.join(a.global)
+			th.clock.join(a.global)
 		}
 		for _, id := range acc.Watch {
-			c.join(a.wordByID(id, "").rel)
+			th.clock.join(a.words[id].rel)
 		}
-		delete(a.spins, acc.TID)
+		th.spinning = false
 	case sim.MemFutexWake:
-		a.clockOf(acc.Arg).join(*a.clockOf(acc.TID))
+		waker := a.thread(acc.TID).clock
+		a.thread(acc.Arg).clock.join(waker)
 	}
 }
 
 // release publishes the writer's clock into the word (and the global
 // clock), recording the epoch of a value-modifying write.
-func (a *RaceAuditor) release(acc MemAccess, c *vclock, w *raceWord) {
+func (a *RaceAuditor) release(acc *MemAccess, c *vclock, w *raceWord) {
 	s := slot(acc.TID)
 	c.tick(s)
 	w.rel.join(*c)
 	a.global.join(*c)
 	if acc.Old != acc.New {
 		w.mod.set(s, c.get(s))
-		for len(w.modAt) < s+1 {
-			w.modAt = append(w.modAt, 0)
-		}
+		w.modAt = growTo(w.modAt, s+1)
 		w.modAt[s] = acc.At
 	}
 }
 
 // checkStore flags a plain value-changing store whose word carries a
 // value-modifying write by another thread not ordered before the store.
-func (a *RaceAuditor) checkStore(acc MemAccess, c *vclock, w *raceWord) {
+func (a *RaceAuditor) checkStore(acc *MemAccess, c *vclock, w *raceWord) {
 	self := slot(acc.TID)
 	victim := -1
 	var victimAt sim.Time
@@ -396,10 +404,7 @@ func (a *RaceAuditor) checkStore(acc MemAccess, c *vclock, w *raceWord) {
 	if victim < 0 {
 		return
 	}
-	lock, ok := a.lastLock[acc.TID]
-	if !ok {
-		lock = -1
-	}
+	lock := a.threads[self].lastLock
 	a.flag(Race{
 		Kind: RaceOverwrite, At: acc.At, Word: acc.Word, WordName: w.name,
 		Thread: acc.TID, ThreadAt: acc.At,
@@ -441,16 +446,27 @@ func (a *RaceAuditor) LockEvent(at sim.Time, kind sim.TraceKind, lock, tid, arg 
 	}
 	l := a.lockState(lock)
 	l.lastActivity = at
-	a.lastLock[tid] = lock
+	th := a.thread(tid)
+	th.lastLock = lock
+	s := slot(tid)
+	l.held = growTo(l.held, s/64+1)
+	bit := uint64(1) << (s % 64)
+	held := l.held[s/64]&bit != 0
 	switch kind {
 	case sim.TraceAcquire:
-		l.holders[tid] = struct{}{}
-		delete(a.waitingOn, tid)
+		if !held {
+			l.held[s/64] |= bit
+			l.holders++
+		}
+		th.waitingOn = -1
 	case sim.TraceRelease:
-		delete(l.holders, tid)
+		if held {
+			l.held[s/64] &^= bit
+			l.holders--
+		}
 	case sim.TraceSpinStart, sim.TraceLockBlock:
-		if _, held := l.holders[tid]; !held {
-			a.waitingOn[tid] = lock
+		if !held {
+			th.waitingOn = lock
 		}
 	}
 }
@@ -462,42 +478,36 @@ func (a *RaceAuditor) Finish(quiesced sim.Time) []Race {
 		return a.races
 	}
 	a.finished = true
-	tids := make([]int32, 0, len(a.spins))
-	for tid := range a.spins { //flexlint:allow determinism keys collected then sorted
-		tids = append(tids, tid)
-	}
-	sort.Slice(tids, func(i, j int) bool { return tids[i] < tids[j] })
-	for _, tid := range tids {
-		s := a.spins[tid]
-		if len(s.watch) == 0 {
+	for s := range a.threads {
+		th := &a.threads[s]
+		if !th.spinning || len(th.watch) == 0 {
 			continue // unscoped: no watch set to prove exhaustion over
 		}
-		lock, ok := a.waitingOn[tid]
-		if !ok {
+		lock := th.waitingOn
+		if lock < 0 {
 			continue // not spinning on a lock (workload-level spin)
 		}
-		l := a.locks[lock]
-		if l == nil || len(l.holders) > 0 {
+		l := &a.locks[lock]
+		if l.holders > 0 {
 			continue // a live holder may still signal it
 		}
-		if quiesced-s.since <= a.o.StallBound || quiesced-l.lastActivity <= a.o.StallBound {
+		if quiesced-th.since <= a.o.StallBound || quiesced-l.lastActivity <= a.o.StallBound {
 			continue // possibly just a handover in flight at the horizon
 		}
 		// The race condition proper: no watched word carries a modifying
 		// write the spinner has not already observed — every signal that
 		// will ever arrive has arrived, and the spinner still waits.
-		c := a.clockOf(tid)
 		pending := false
 		primary := int32(-1)
 		var lastWriter int32 = -1
 		var lastAt sim.Time
-		for _, id := range s.watch {
+		for _, id := range th.watch {
 			w := a.wordByID(id, "")
 			for sl, epoch := range w.mod {
 				if epoch == 0 {
 					continue
 				}
-				if epoch > c.get(sl) {
+				if epoch > th.clock.get(sl) {
 					pending = true
 				}
 				if w.modAt[sl] >= lastAt {
@@ -511,16 +521,16 @@ func (a *RaceAuditor) Finish(quiesced sim.Time) []Race {
 			continue
 		}
 		if primary < 0 {
-			primary = s.watch[0]
+			primary = th.watch[0]
 		}
-		w := a.wordByID(primary, "")
+		tid := slotTID(s)
 		a.flag(Race{
-			Kind: RaceMissedSignal, At: quiesced, Word: primary, WordName: w.name,
-			Thread: tid, ThreadAt: s.since,
+			Kind: RaceMissedSignal, At: quiesced, Word: primary, WordName: a.wordByID(primary, "").name,
+			Thread: tid, ThreadAt: th.since,
 			Other: lastWriter, OtherAt: lastAt,
 			Lock: lock, LockName: a.lockName(lock),
 			Detail: fmt.Sprintf("spinner stranded since t=%d on a lock inactive since t=%d; all watched-word writes observed — the wake signal was never written",
-				s.since, l.lastActivity),
+				th.since, l.lastActivity),
 		})
 	}
 	return a.races

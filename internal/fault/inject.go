@@ -13,8 +13,9 @@ import (
 // attaching an injector never perturbs the machine's existing draws —
 // a plan-free run stays byte-identical to an uninjected one).
 type Injector struct {
-	plan Plan
-	rng  *dist.Rand
+	plan    Plan
+	rng     *dist.Rand
+	crashes bool // plan.Crashes(), kept to spare the boundary seam a Plan copy
 
 	// Crash-role tracking, fed by the lock-event stream when the plan
 	// kills threads: which threads currently hold a lock and which are
@@ -44,7 +45,7 @@ func Apply(m *sim.Machine, mon *monitor.Monitor, plan Plan, seed uint64) *Inject
 	if plan.IsZero() {
 		return nil
 	}
-	inj := &Injector{plan: plan, rng: dist.NewRand(seed ^ 0xfa17_5eed_c0de)}
+	inj := &Injector{plan: plan, rng: dist.NewRand(seed ^ 0xfa17_5eed_c0de), crashes: plan.Crashes()}
 	if plan.PerturbsSim() {
 		m.SetFaultInjector(inj)
 	}
@@ -135,7 +136,7 @@ func (i *Injector) budgetUsed() int64 { return i.Crashes + i.parkedPending }
 // returns without drawing, so non-crash plans keep their random streams
 // byte-identical to before the crash model existed.
 func (i *Injector) CrashAtBoundary(t *sim.Thread) bool {
-	if !i.plan.Crashes() || i.budgetUsed() >= i.crashBudget() {
+	if !i.crashes || i.budgetUsed() >= i.crashBudget() {
 		return false
 	}
 	var p float64

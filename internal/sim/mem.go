@@ -89,18 +89,24 @@ type MemEvent struct {
 
 // MemObserver consumes the Word-access stream. Callbacks run
 // synchronously inside the event loop and must not call Proc methods or
-// mutate machine state.
+// mutate machine state. The event is the machine's scratch record,
+// overwritten by the next access: observers must not keep the pointer.
 type MemObserver interface {
-	MemEvent(MemEvent)
+	MemEvent(*MemEvent)
 }
 
 // SetMemObserver attaches (or with nil, detaches) the Word-access
 // observer. Attach before Run.
 func (m *Machine) SetMemObserver(o MemObserver) { m.mem = o }
 
-// memEvent stamps the clock and delivers ev. Callers guard with
-// `m.mem != nil` so the disabled cost stays a single branch.
-func (m *Machine) memEvent(ev MemEvent) {
-	ev.At = m.clock
+// memEvent delivers one Word access through the machine's scratch
+// record, written field by field so no event is copied. A caller whose
+// event carries Arg, Rel or Watch stages them on m.memEv first; they are
+// cleared after delivery. Callers guard with `m.mem != nil` so the
+// disabled cost stays a single branch.
+func (m *Machine) memEvent(kind MemKind, tid int32, w *Word, old, new uint64, wrote bool) {
+	ev := &m.memEv
+	ev.At, ev.Kind, ev.TID, ev.W, ev.Old, ev.New, ev.Wrote = m.clock, kind, tid, w, old, new, wrote
 	m.mem.MemEvent(ev)
+	ev.Arg, ev.Rel, ev.Watch = 0, false, [3]*Word{}
 }

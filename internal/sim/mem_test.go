@@ -7,7 +7,7 @@ type memRec struct {
 	evs []MemEvent
 }
 
-func (r *memRec) MemEvent(ev MemEvent) { r.evs = append(r.evs, ev) }
+func (r *memRec) MemEvent(ev *MemEvent) { r.evs = append(r.evs, *ev) }
 
 func (r *memRec) count(k MemKind) int {
 	n := 0

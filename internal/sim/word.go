@@ -209,7 +209,7 @@ func (m *Machine) KernelStore(w *Word, v uint64) {
 	m.lineOwner[w.lineID] = ownerKernel
 	m.clearSharers(w.lineID)
 	if m.mem != nil {
-		m.memEvent(MemEvent{Kind: MemKernel, TID: ownerKernel, W: w, Old: old, New: v, Wrote: true})
+		m.memEvent(MemKernel, ownerKernel, w, old, v, true)
 	}
 	m.checkSpinners(w)
 }
@@ -222,7 +222,7 @@ func (m *Machine) KernelAdd(w *Word, delta int64) uint64 {
 	m.lineOwner[w.lineID] = ownerKernel
 	m.clearSharers(w.lineID)
 	if m.mem != nil {
-		m.memEvent(MemEvent{Kind: MemKernel, TID: ownerKernel, W: w, Old: old, New: *w.p, Wrote: true})
+		m.memEvent(MemKernel, ownerKernel, w, old, *w.p, true)
 	}
 	m.checkSpinners(w)
 	return *w.p
