@@ -19,7 +19,8 @@
 // (the injected regression must exit nonzero).
 //
 // Exit status: 0 when all gates hold, 1 on a gate regression, 2 on
-// usage or load errors.
+// usage or load errors or on a gate that checks nothing (its metric is
+// in no run shared by both reports).
 package main
 
 import (
@@ -36,6 +37,7 @@ import (
 
 // gate is one parsed regression bound.
 type gate struct {
+	spec    string // as written on the command line
 	metric  string
 	dropBad bool    // true for ">=-N%" (drops fail), false for "<=N%" (rises fail)
 	pct     float64 // tolerated move, in percent (always positive)
@@ -43,7 +45,7 @@ type gate struct {
 
 // parseGate parses `metric>=-20%` / `metric<=25%`.
 func parseGate(s string) (gate, error) {
-	var g gate
+	g := gate{spec: s}
 	var rest string
 	switch {
 	case strings.Contains(s, ">="):
@@ -167,31 +169,55 @@ func main() {
 		fmt.Printf("only in current: %s\n", n)
 	}
 
-	failures := 0
-	for _, g := range parsed {
-		for _, r := range rows {
-			if r.metric != g.metric || r.base == 0 {
-				continue
-			}
-			if g.dropBad && r.pct < -g.pct {
-				fmt.Printf("GATE FAIL %s %s: %.6g -> %.6g (%.2f%% < -%.2f%%)\n",
-					r.run, r.metric, r.base, r.cur, r.pct, g.pct)
-				failures++
-			}
-			if !g.dropBad && r.pct > g.pct {
-				fmt.Printf("GATE FAIL %s %s: %.6g -> %.6g (+%.2f%% > +%.2f%%)\n",
-					r.run, r.metric, r.base, r.cur, r.pct, g.pct)
-				failures++
-			}
-		}
+	gateRows := rows
+	if keep != nil {
+		// -metrics narrows the printed table, not what the gates see.
+		gateRows, _, _ = diff(base, cur, nil)
 	}
-	if failures > 0 {
-		fmt.Printf("%d gate failure(s)\n", failures)
+	fails, err := checkGates(parsed, gateRows)
+	if err != nil {
+		fatal(err)
+	}
+	for _, f := range fails {
+		fmt.Println(f)
+	}
+	if len(fails) > 0 {
+		fmt.Printf("%d gate failure(s)\n", len(fails))
 		os.Exit(1)
 	}
 	if len(parsed) > 0 {
 		fmt.Println("all gates hold")
 	}
+}
+
+// checkGates evaluates every gate against the diff rows and returns one
+// GATE FAIL line per regression. A gate that compares nothing — its
+// metric is in no run shared by both reports, or only with a zero
+// baseline, where a percentage bound is undefined — is an error, not a
+// pass: a misspelt or retired metric must not hold silently.
+func checkGates(gates []gate, rows []deltaRow) ([]string, error) {
+	var fails []string
+	for _, g := range gates {
+		checked := 0
+		for _, r := range rows {
+			if r.metric != g.metric || r.base == 0 {
+				continue
+			}
+			checked++
+			if g.dropBad && r.pct < -g.pct {
+				fails = append(fails, fmt.Sprintf("GATE FAIL %s %s: %.6g -> %.6g (%.2f%% < -%.2f%%)",
+					r.run, r.metric, r.base, r.cur, r.pct, g.pct))
+			}
+			if !g.dropBad && r.pct > g.pct {
+				fails = append(fails, fmt.Sprintf("GATE FAIL %s %s: %.6g -> %.6g (+%.2f%% > +%.2f%%)",
+					r.run, r.metric, r.base, r.cur, r.pct, g.pct))
+			}
+		}
+		if checked == 0 {
+			return nil, fmt.Errorf("gate %q checks nothing: no run shared by both reports has a nonzero baseline for %s", g.spec, g.metric)
+		}
+	}
+	return fails, nil
 }
 
 // diff matches runs by name and produces one row per shared metric, in

@@ -3,6 +3,7 @@ package main
 import (
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/harness"
@@ -93,5 +94,39 @@ func TestDiffDeltasAndSides(t *testing.T) {
 	rows, _, _ = diff(base, cur, keep)
 	if len(rows) != 1 || rows[0].metric != "ops" {
 		t.Errorf("metric filter leaked rows: %+v", rows)
+	}
+}
+
+// TestGateThatChecksNothingFails: a gate must compare at least one
+// shared run with a nonzero baseline. A misspelt or retired metric, or
+// one whose baseline is 0 everywhere, is an error naming the gate, never
+// "all gates hold".
+func TestGateThatChecksNothingFails(t *testing.T) {
+	base := harness.NewToolReport("t", 0)
+	base.AddMetrics("cell", map[string]float64{"ops": 100, "zero": 0})
+	base.AddMetrics("baseonly", map[string]float64{"lonely": 1})
+	cur := harness.NewToolReport("t", 0)
+	cur.AddMetrics("cell", map[string]float64{"ops": 70, "zero": 3})
+	cur.AddMetrics("curonly", map[string]float64{"lonely": 1})
+	rows, _, _ := diff(base, cur, nil)
+
+	for _, spec := range []string{"no_such_metric>=-20%", "zero<=10%", "lonely>=-20%"} {
+		g, err := parseGate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fails, err := checkGates([]gate{g}, rows)
+		if err == nil || !strings.Contains(err.Error(), spec) {
+			t.Errorf("gate %s: fails=%v err=%v, want an error naming the gate", spec, fails, err)
+		}
+	}
+
+	hold, _ := parseGate("ops>=-50%")
+	trip, _ := parseGate("ops>=-20%")
+	if fails, err := checkGates([]gate{hold}, rows); err != nil || len(fails) != 0 {
+		t.Errorf("holding gate: fails=%v err=%v, want none", fails, err)
+	}
+	if fails, err := checkGates([]gate{hold, trip}, rows); err != nil || len(fails) != 1 {
+		t.Errorf("tripped gate: fails=%v err=%v, want one failure", fails, err)
 	}
 }

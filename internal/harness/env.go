@@ -66,11 +66,6 @@ type Env struct {
 	nLocks int
 	maxed  bool
 	fgOpts []core.LockOption
-	// workerBase is the index of the first workload worker thread in
-	// Machine.Threads(). Zero on cold-started machines; on clones from a
-	// warm snapshot it skips the warm phase's ghost threads so Collect
-	// still identifies workers by position.
-	workerBase int
 }
 
 // EnvOptions configures NewEnv.
@@ -99,18 +94,10 @@ func envConfig(o EnvOptions) sim.Config {
 	return cfg
 }
 
-// NewEnv builds a machine configured for the chosen algorithm.
+// NewEnv builds a machine configured for the chosen algorithm and wires
+// its lock registry, monitor, runtime and observers onto it.
 func NewEnv(o EnvOptions) (*Env, error) {
-	return buildEnv(sim.New(envConfig(o)), o)
-}
-
-// buildEnv wires the environment's Go-heap state — lock registry,
-// monitor, runtime, observers — onto an existing machine. It is the
-// construction closure replayed by sim.Snapshot.Clone, so everything it
-// builds must be a pure function of (machine, options): word
-// allocations made here are adopted against the snapshot by allocation
-// order.
-func buildEnv(m *sim.Machine, o EnvOptions) (*Env, error) {
+	m := sim.New(envConfig(o))
 	isFG := o.Alg == "flexguard" || o.Alg == "flexguard-ext"
 	e := &Env{M: m, Shared: locks.NewShared(m), Alg: o.Alg}
 	if o.Observe {
@@ -261,13 +248,7 @@ func (e *Env) Collect(workers int, duration sim.Time) Result {
 	var latSum, latCount int64
 	ops := make([]int64, 0, workers)
 	var samples []float64
-	ths := e.M.Threads()
-	if e.workerBase < len(ths) {
-		ths = ths[e.workerBase:]
-	} else {
-		ths = nil
-	}
-	for i, th := range ths {
+	for i, th := range e.M.Threads() {
 		if i >= workers {
 			break
 		}

@@ -48,8 +48,7 @@ type RunCfg struct {
 }
 
 // runOptions resolves a RunCfg into the env construction options and
-// the workload duration (the pure-data half of prepare, shared with the
-// warm-snapshot path in snapshot.go).
+// the workload duration.
 func runOptions(c RunCfg) (EnvOptions, sim.Time) {
 	cfg := c.Config
 	cfg.Seed = c.Seed
@@ -73,9 +72,15 @@ func runOptions(c RunCfg) (EnvOptions, sim.Time) {
 	}, dur
 }
 
-// attach wires the optional observers onto a built env (the other half
-// of the construction closure the warm-snapshot path replays).
-func attach(e *Env, c RunCfg, dur sim.Time) {
+// prepare builds the env and attaches the optional observers; the
+// workload's worker threads must be spawned before spinners so Collect
+// can identify them by index.
+func prepare(c RunCfg) (*Env, sim.Time, error) {
+	o, dur := runOptions(c)
+	e, err := NewEnv(o)
+	if err != nil {
+		return nil, 0, err
+	}
 	if c.Trace {
 		// A tiny ring suffices: the digest is folded per event before
 		// eviction, so it is exact over the whole stream.
@@ -93,35 +98,22 @@ func attach(e *Env, c RunCfg, dur sim.Time) {
 			ExpectWindows: int((dur+dur/4)/c.Window) + 1,
 		})
 	}
-}
-
-// prepare builds the env; the workload's worker threads must be spawned
-// before spinners so Collect can identify them by index.
-func prepare(c RunCfg) (*Env, sim.Time, error) {
-	o, dur := runOptions(c)
-	e, err := NewEnv(o)
-	if err != nil {
-		return nil, 0, err
-	}
-	attach(e, c, dur)
 	return e, dur, nil
 }
 
-// finish runs the machine (deadline at 80% of the horizon so in-flight
-// operations complete) and collects worker metrics. Deadlines are
-// relative to the machine clock at entry (zero on cold machines; the
-// snapshot boundary on warm clones).
+// finish runs the machine from t=0 to the horizon dur+dur/4 (the
+// workload deadline dur sits at 80% of it, so in-flight operations
+// complete) and collects worker metrics.
 func finish(e *Env, c RunCfg, dur sim.Time) Result {
-	base := e.M.Now()
-	e.SpawnSpinners(c.Spinners, base+dur)
-	q := e.M.Run(base + dur + dur/4)
+	e.SpawnSpinners(c.Spinners, dur)
+	q := e.M.Run(dur + dur/4)
 	r := e.Collect(c.Threads, dur)
 	r.Spinners = c.Spinners
 	// Threads still parked when the machine drained are a hang only if
 	// the drain happened before the workload deadline: waiters stranded
 	// at shutdown (e.g. barrier peers whose partners exited on deadline)
 	// are a benign end-of-run artifact.
-	if q < base+dur && e.M.Deadlocked() {
+	if q < dur && e.M.Deadlocked() {
 		r.Deadlocked = true
 		r.DeadlockDump = e.M.DeadlockReport()
 	}

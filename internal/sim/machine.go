@@ -129,21 +129,11 @@ type Machine struct {
 
 	// Word state, structure-of-arrays (see word.go): per-line owner and
 	// sharer bitmaps indexed by dense line id, and the chunked value
-	// arena indexed by dense word id. words registers every allocated
-	// handle in id order (snapshot/clone walks it).
+	// arena indexed by dense word id.
 	lineOwner   []int32
 	lineSharers []uint64 // lineStride words per line
 	lineStride  int32
 	valChunks   [][]uint64
-	words       []*Word
-
-	// Adoption state, set by Clone: allocations with id < adoptWords are
-	// replaying the snapshotted prefix and adopt the snapshot's slot and
-	// line (adoptLine/adoptName indexed by word id) instead of
-	// allocating fresh state.
-	adoptWords int
-	adoptLine  []int32
-	adoptName  []string
 
 	// spinners holds the live UNSCOPED spinners (SpinWhile with no watch
 	// set): their conditions may read any word, so every store
@@ -432,7 +422,7 @@ func (m *Machine) Run(until Time) Time {
 	m.running = true
 	m.horizon = until
 	m.drained = false
-	m.loop(until, false)
+	m.loop(until)
 	quiesced := m.clock
 	if m.clock < until {
 		// Queue drained early: everything is blocked or done.
@@ -444,49 +434,9 @@ func (m *Machine) Run(until Time) Time {
 	return quiesced
 }
 
-// RunPhase processes events until virtual time `until` like Run, but
-// leaves the machine alive: no thread is terminated, and more threads
-// may be spawned and Run (or another RunPhase) called afterwards. A
-// phase must quiesce on its own — every strong event fires before the
-// phase horizon — because the boundary is a potential snapshot point
-// (see Machine.Snapshot); a phase that still has pending work at its
-// horizon panics instead of silently discarding it. Whatever inert
-// events remain at the boundary (lazily-canceled stragglers, weak
-// instrumentation events) are discarded, exactly as Run discards them
-// at shutdown, so the next phase starts from an empty queue. Returns
-// the quiesce time and leaves the clock at until.
-func (m *Machine) RunPhase(until Time) Time {
-	if m.finished {
-		panic("sim: RunPhase after Run finished")
-	}
-	m.running = true
-	m.horizon = until
-	m.drained = false
-	m.loop(until, true)
-	quiesced := m.clock
-	if m.clock < until {
-		m.clock = until
-	}
-	m.eq.Reset()
-	m.running = false
-	return quiesced
-}
-
-// Reseed repositions the machine's root random stream at a phase
-// boundary. Snapshot-based sweeps use it to give each per-seed cell an
-// identical stream regardless of how the warm phase (or the clone's
-// construction replay) advanced the generator: both the continuing
-// machine and a clone call Reseed with the cell seed before spawning
-// the measured workload, making the two paths draw identically.
-func (m *Machine) Reseed(seed uint64) {
-	if m.running {
-		panic("sim: Reseed while running")
-	}
-	m.rng = dist.NewRand(seed)
-}
-
-// loop is the event loop shared by Run and RunPhase.
-func (m *Machine) loop(until Time, phase bool) {
+// loop processes events until the queue holds no strong event or the
+// next one is at or past until.
+func (m *Machine) loop(until Time) {
 	for {
 		if m.eq.StrongLen() == 0 {
 			// Nothing left but weak (instrumentation) events, if that.
@@ -502,9 +452,6 @@ func (m *Machine) loop(until Time, phase bool) {
 			return
 		}
 		if ev.At >= until {
-			if phase {
-				panic(fmt.Sprintf("sim: RunPhase horizon %d reached with work pending at %d; a phase must quiesce", until, ev.At))
-			}
 			m.clock = until
 			return
 		}
@@ -702,9 +649,8 @@ func (m *Machine) shutdown() {
 	}
 	m.spinners = nil
 	for _, t := range m.threads {
-		if t.done || t.stop == nil {
-			// Done threads unwound themselves; ghost threads restored by
-			// Snapshot.Clone never had a coroutine to begin with.
+		if t.done {
+			// Done threads unwound themselves.
 			continue
 		}
 		// stop makes the thread's suspended yield return false (or, for a

@@ -106,11 +106,6 @@ type Engine struct {
 
 	live, idle, spawned, peakWorkers int
 
-	// start is the machine clock at Build. Deadline and the reported
-	// StalledAt/ClosedAt are windows relative to it, so the engine works
-	// identically on a fresh machine and on a warm-started clone whose
-	// clock begins at a snapshot boundary.
-	start        sim.Time
 	lastProgress sim.Time
 	closed       bool
 	closedAt     sim.Time
@@ -179,9 +174,7 @@ func Build(m *sim.Machine, o Options) *Engine {
 	e := &Engine{
 		m:            m,
 		arr:          o.Arrivals,
-		start:        m.Now(),
-		lastProgress: m.Now(),
-		deadline:     m.Now() + o.Deadline,
+		deadline:     o.Deadline,
 		db:           m.NewWord("traffic.doorbell", 0),
 		rng:          dist.NewRand(o.Seed),
 		svcMean:      float64(o.ServiceMean),
@@ -201,7 +194,7 @@ func Build(m *sim.Machine, o Options) *Engine {
 	e.fnClose = func() { e.finishGen(false) }
 	m.RegisterKillHook(e.onKill)
 
-	first := e.start + e.arr.Next(0)
+	first := e.arr.Next(0)
 	if first >= e.deadline {
 		m.ScheduleWork(e.deadline, e.fnClose)
 	} else {
@@ -389,8 +382,8 @@ type Stats struct {
 	SpawnedWorkers int64
 	PeakWorkers    int64
 	Stalled        bool
-	StalledAt      sim.Time // offset from engine start (Build time)
-	ClosedAt       sim.Time // when generation stopped, offset from engine start
+	StalledAt      sim.Time // when the stall watchdog fired (0 = never)
+	ClosedAt       sim.Time // when generation stopped (0 = never)
 	Resp           obs.HistogramSnapshot
 	Wait           obs.HistogramSnapshot
 }
@@ -408,20 +401,11 @@ func (e *Engine) Stats() Stats {
 		SpawnedWorkers: int64(e.spawned),
 		PeakWorkers:    int64(e.peakWorkers),
 		Stalled:        e.stalled,
-		StalledAt:      rel(e.stalledAt, e.start),
-		ClosedAt:       rel(e.closedAt, e.start),
+		StalledAt:      e.stalledAt,
+		ClosedAt:       e.closedAt,
 		Resp:           e.Resp.Snapshot(),
 		Wait:           e.Wait.Snapshot(),
 	}
-}
-
-// rel converts an absolute timestamp to an offset from the engine start
-// (zero timestamps — "never happened" — stay zero).
-func rel(t, start sim.Time) sim.Time {
-	if t == 0 {
-		return 0
-	}
-	return t - start
 }
 
 // Validate checks request conservation: every offered request is

@@ -156,18 +156,6 @@ func (q *Queue) Recycle(e *Event) {
 	q.free = append(q.free, e) //flexlint:allow hotalloc free list capped at maxFree; capacity is reused
 }
 
-// Reset discards every remaining event — canceled stragglers and weak
-// (instrumentation) events alike — returning them to the free list. The
-// simulator calls it at a phase boundary (Machine.RunPhase), where the
-// strong events have drained and whatever remains is inert telemetry
-// that must not leak into the next phase.
-func (q *Queue) Reset() {
-	for len(q.heap) > 0 {
-		q.Recycle(q.pop())
-	}
-	q.strong = 0
-}
-
 // PeekTime returns the firing time of the earliest live event, discarding
 // canceled events from the head. ok is false if the queue is empty.
 func (q *Queue) PeekTime() (t Time, ok bool) {
