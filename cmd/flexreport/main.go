@@ -67,7 +67,7 @@ func parseGate(s string) (gate, error) {
 		if v > 0 {
 			return g, fmt.Errorf("gate %q: a >= bound tolerates a drop; write a negative percentage", s)
 		}
-		v = -v
+		v = math.Abs(v) // not -v: a 0% bound would print as -0
 	} else if v < 0 {
 		return g, fmt.Errorf("gate %q: a <= bound tolerates a rise; write a positive percentage", s)
 	}

@@ -177,6 +177,7 @@ type Result struct {
 	SpinIters    int64
 	Preempt      int64 // total involuntary context switches
 	CSPreempt    int64 // monitor-detected critical-section preemptions
+	Resumes      int64 // coroutine resumes (sim.Machine.TotalResumes)
 
 	// TraceDigest/TraceEvents fingerprint the machine's full event
 	// stream (RunCfg.Trace): equal digests mean behaviourally identical
@@ -265,6 +266,7 @@ func (e *Env) Collect(workers int, duration sim.Time) Result {
 		r.P99LatUS = stats.Summarize(samples).P99 / sim.TicksPerMicrosecond
 	}
 	r.Preempt = e.M.TotalPreemptions
+	r.Resumes = e.M.TotalResumes
 	if e.Mon != nil {
 		r.CSPreempt = e.Mon.InCSPreemptions
 		r.PolicySpinToBlock = e.Mon.SpinToBlockSwitches

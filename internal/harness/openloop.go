@@ -200,7 +200,9 @@ type OpenLoopGridCfg struct {
 // OpenLoopGrid fans the grid out through the parallel sweep engine.
 // Results are in pattern-major, rate-then-alg order regardless of
 // worker count; each cell builds its own machine and generator, so the
-// outcome is bit-identical at any Parallel.
+// outcome is bit-identical at any Parallel. Cells are seeded by their
+// (pattern, rate) row, never the algorithm, so every algorithm in a row
+// is offered the same arrival stream (common random numbers).
 func OpenLoopGrid(g OpenLoopGridCfg) ([]OpenLoopResult, error) {
 	np, nr, na := len(g.Patterns), len(g.RatesMs), len(g.Algs)
 	n := np * nr * na
@@ -220,7 +222,7 @@ func OpenLoopGrid(g OpenLoopGridCfg) ([]OpenLoopResult, error) {
 			Pattern:     g.Patterns[p],
 			RateMs:      g.RatesMs[rIdx],
 			Duration:    g.Duration,
-			Seed:        g.Seed + uint64(i)*1_000_003,
+			Seed:        g.Seed + uint64(p*nr+rIdx)*1_000_003,
 			QueueCap:    g.QueueCap,
 			Locks:       g.Locks,
 			ServiceMean: g.ServiceMean,

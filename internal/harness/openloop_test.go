@@ -76,6 +76,27 @@ func TestOpenLoopParallelIdentity(t *testing.T) {
 	}
 }
 
+// TestOpenLoopGridSharesArrivals: the algorithms of one (pattern,
+// rate) row are offered the same arrival stream, so a row compares the
+// locks on identical traffic.
+func TestOpenLoopGridSharesArrivals(t *testing.T) {
+	g := detOpenLoopGrid(1)
+	results, err := OpenLoopGrid(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	na := len(g.Algs)
+	for row := 0; row < len(results); row += na {
+		first := results[row]
+		for _, r := range results[row+1 : row+na] {
+			if r.Offered != first.Offered {
+				t.Errorf("%s offered %d requests, %s offered %d: the row's algorithms saw different arrivals",
+					OpenLoopCellName(first, true), first.Offered, OpenLoopCellName(r, true), r.Offered)
+			}
+		}
+	}
+}
+
 // TestOpenLoopSaturationKnee pins the acceptance criterion: crossing
 // the knee must show up as (a) pool growth past the core count with no
 // thread knob anywhere, (b) achieved throughput falling measurably

@@ -135,6 +135,7 @@ func Metrics(r Result) map[string]float64 {
 		"cs_preempt":  float64(r.CSPreempt),
 		"policy_stob": float64(r.PolicySpinToBlock),
 		"policy_btos": float64(r.PolicyBlockToSpin),
+		"resumes":     float64(r.Resumes),
 	}
 }
 

@@ -66,12 +66,13 @@ func TestReportMetrics(t *testing.T) {
 	for _, key := range []string{
 		"ops", "ops_per_sec", "mean_lat_us", "p99_lat_us", "fairness",
 		"spin_iters", "preemptions", "cs_preempt", "policy_stob", "policy_btos",
+		"resumes",
 	} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("Metrics missing %q: %v", key, m)
 		}
 	}
-	if m["ops"] <= 0 || m["ops_per_sec"] <= 0 {
+	if m["ops"] <= 0 || m["ops_per_sec"] <= 0 || m["resumes"] <= 0 {
 		t.Errorf("throughput metrics not positive: %v", m)
 	}
 }

@@ -30,12 +30,14 @@ func SweepSmokeCell(alg string) RunCfg {
 //
 //	cells_per_sec    sweep cells completed per wall-clock second
 //	sim_ev_per_sec   aggregate simulated events per wall-clock second
+//	resumes_per_cell coroutine resumes per cell (Result.Resumes)
 //
-// Both are wall-clock and host-dependent; the gate threshold absorbs
-// runner variance.
+// The first two are wall-clock and host-dependent; the gate threshold
+// absorbs runner variance. resumes_per_cell is deterministic, so CI
+// gates it exactly.
 func SweepSmoke(reps, workers int, rep *Report, w io.Writer) error {
 	algs := AllAlgorithms
-	var events int64
+	var events, resumes int64
 	//flexlint:allow determinism wall-clock throughput measurement; feeds no digest
 	start := time.Now()
 	for i := 0; i < reps; i++ {
@@ -47,14 +49,16 @@ func SweepSmoke(reps, workers int, rep *Report, w io.Writer) error {
 		}
 		for _, r := range res {
 			events += r.TraceEvents
+			resumes += r.Resumes
 		}
 	}
 	elapsed := time.Since(start).Seconds()
 	cells := float64(reps * len(algs))
 
 	m := map[string]float64{
-		"cells_per_sec":  cells / elapsed,
-		"sim_ev_per_sec": float64(events) / elapsed,
+		"cells_per_sec":    cells / elapsed,
+		"sim_ev_per_sec":   float64(events) / elapsed,
+		"resumes_per_cell": float64(resumes) / cells,
 	}
 	if rep != nil {
 		rep.AddMetrics("sweep/smoke", m)

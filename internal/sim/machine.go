@@ -150,6 +150,7 @@ type Machine struct {
 	// callbacks detect staleness by event identity.
 	horizon Time
 	firing  *vtime.Event
+	resume  *Thread // handed back by the firing callback (resumeAfter)
 
 	rng *dist.Rand
 
@@ -462,11 +463,39 @@ func (m *Machine) loop(until Time) {
 		m.firing = ev
 		ev.Fn()
 		m.firing = nil
+		// The one place a coroutine is resumed: a callback hands a
+		// thread back as its last action (resumeAfter). Proc.do has
+		// inlined every op it could, so an op posted now needs a
+		// completion event (execOp); a thread that left its CPU at a
+		// thread-side boundary yields with t.handled set.
+		if t := m.resume; t != nil {
+			m.resume = nil
+			m.TotalResumes++
+			t.next()
+			switch {
+			case t.done:
+				m.onExit(t)
+			case t.handled:
+				t.handled = false
+			default:
+				m.execOp(t)
+			}
+		}
 		// The event fired and every handle to it has been dropped (the
 		// machine nulls its event pointers when a callback runs), so it
-		// can be reused by the next Schedule.
+		// can be reused by the next Schedule (only after the resume,
+		// which may schedule, so the free list does not grow).
 		m.eq.Recycle(ev)
 	}
+}
+
+// resumeAfter hands t back to its coroutine: loop resumes it once the
+// firing callback, which calls this last, has returned.
+func (m *Machine) resumeAfter(t *Thread) {
+	if m.resume != nil {
+		panic("sim: two coroutine resumes requested by one event")
+	}
+	m.resume = t
 }
 
 // Deadlocked reports, after Run, whether the machine deadlocked: the
@@ -893,7 +922,8 @@ func (m *Machine) contextSwitch(c *cpuCtx, prev, next *Thread) {
 	m.eq.Schedule(m.clock+cost, next.fnDispatch)
 }
 
-// dispatch puts t on context c and resumes its pending continuation.
+// dispatch puts t on context c and continues its pending op; a thread
+// between ops is handed back to its coroutine (resumeAfter).
 func (m *Machine) dispatch(c *cpuCtx, t *Thread) {
 	if c.cur != nil {
 		panic("sim: dispatch to busy cpu")
@@ -925,7 +955,7 @@ func (m *Machine) dispatch(c *cpuCtx, t *Thread) {
 	m.grantSlice(t, slice)
 	switch t.pending {
 	case pendStep:
-		m.step(t)
+		m.resumeAfter(t)
 	case pendCompute:
 		m.scheduleCompute(t, t.pendTicks)
 	case pendSpin:
@@ -1015,12 +1045,12 @@ func (m *Machine) preempt(c *cpuCtx, t *Thread) {
 }
 
 // finishOp delivers the current op's result at its instruction
-// boundary (see boundary); a thread that keeps its CPU is stepped to its
-// next operation.
+// boundary (see boundary); a thread that keeps its CPU is handed back to
+// its coroutine (resumeAfter), which runs it to its next operation.
 func (m *Machine) finishOp(t *Thread) {
 	t.pending = pendStep
 	if m.boundary(t) {
-		m.step(t)
+		m.resumeAfter(t)
 	}
 }
 
@@ -1062,24 +1092,6 @@ func (m *Machine) seams(t *Thread) bool {
 		m.renewSlice(t)
 	}
 	return true
-}
-
-// step resumes t's coroutine until it posts its next operation or exits.
-// Proc.do has already completed every op it could inline, each with its
-// instruction boundary, so an op posted here needs a completion event
-// (execOp). A thread that left its CPU at a thread-side boundary yields
-// with t.handled set, and step returns without executing anything.
-func (m *Machine) step(t *Thread) {
-	m.TotalResumes++
-	t.next()
-	switch {
-	case t.done:
-		m.onExit(t)
-	case t.handled:
-		t.handled = false
-	default:
-		m.execOp(t)
-	}
 }
 
 // onExit handles a thread whose body returned.

@@ -710,3 +710,19 @@ func TestLatencyReservoir(t *testing.T) {
 		t.Fatalf("reservoir skewed: min=%d max=%d", min, max)
 	}
 }
+
+// TestOneResumePerEvent: an event callback hands at most one thread back
+// to its coroutine (Machine.loop resumes it after the callback); a
+// second request in the same event panics rather than dropping one.
+func TestOneResumePerEvent(t *testing.T) {
+	m := small(2)
+	a := m.Spawn("a", func(p *Proc) {})
+	b := m.Spawn("b", func(p *Proc) {})
+	m.resumeAfter(a)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second resume request in one event did not panic")
+		}
+	}()
+	m.resumeAfter(b)
+}

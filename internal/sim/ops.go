@@ -180,7 +180,7 @@ func (m *Machine) applyOpEffect(t *Thread) {
 	case opFutexWake:
 		t.res = opRes{val: uint64(m.futexWake(req.w, int(req.a), tid(t)))}
 	case opFutexWait, opYield, opSleep:
-		// No memory effect; scheduling handled in instrDone.
+		// No memory effect; scheduling handled in opFire.
 	}
 }
 
@@ -202,30 +202,22 @@ func (m *Machine) instr(t *Thread, cost Time) {
 }
 
 // opFire completes a scheduled instruction: apply the effect recorded in
-// Thread.req, then continue at the boundary.
+// Thread.req, then finish it at its boundary, where futex wait, yield
+// and sleep change scheduling state.
 func (m *Machine) opFire(t *Thread) {
 	t.opEv = nil
 	t.opNonPreempt = false
 	m.applyOpEffect(t)
-	m.instrDone(t)
-}
-
-// instrDone finalizes an instruction at its boundary, handling the ops
-// whose completion changes scheduling state.
-func (m *Machine) instrDone(t *Thread) {
-	req := &t.req
-	switch req.kind {
+	switch t.req.kind {
 	case opFutexWait:
 		m.futexWaitDone(t)
-		return
 	case opYield:
 		m.yieldDone(t)
-		return
 	case opSleep:
 		m.sleepDone(t)
-		return
+	default:
+		m.finishOp(t)
 	}
-	m.finishOp(t)
 }
 
 // ---- Compute ----
@@ -283,11 +275,11 @@ func (m *Machine) registerSpinner(t *Thread) {
 	for _, w := range t.spinWatch {
 		if w != nil {
 			scoped = true
-			w.watchers = append(w.watchers, int32(t.id))
+			w.watchers = append(w.watchers, int32(t.id)) //flexlint:allow hotalloc amortized growth; bounded by the thread count, reused after unregister
 		}
 	}
 	if !scoped {
-		m.spinners = append(m.spinners, t)
+		m.spinners = append(m.spinners, t) //flexlint:allow hotalloc amortized growth; bounded by the thread count, reused after unregister
 	}
 	if m.mem != nil {
 		m.memEv.Watch = t.spinWatch
@@ -558,10 +550,6 @@ func (m *Machine) KernelFutexWake(w *Word, n int, waker int32) int {
 
 func (m *Machine) yieldDone(t *Thread) {
 	t.res = opRes{}
-	if m.runqLen() == 0 {
-		m.finishOp(t)
-		return
-	}
 	c := m.cpus[t.cpu]
 	next := m.pickNext(c)
 	if next == nil {

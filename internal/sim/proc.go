@@ -73,14 +73,14 @@ type opRes struct {
 // do submits the op and suspends the thread's coroutine until the
 // machine delivers the result.
 //
-// Fast path: while this coroutine runs, the machine is suspended inside
-// step, so the thread has exclusive access to machine state. An op that
-// can complete inline (Machine.inline) therefore executes right here,
-// followed by its instruction boundary, without the pair of coroutine
-// switches that dominates the event loop's real-time cost. If the
-// boundary takes the CPU away (a crash, a forced or deferred
-// preemption), the thread yields with t.handled set and step returns
-// without executing anything.
+// Fast path: while this coroutine runs, the machine is suspended in
+// its event loop between two events, so the thread has exclusive access
+// to machine state. An op that can complete inline (Machine.inline)
+// therefore executes right here, followed by its instruction boundary,
+// without the pair of coroutine switches that dominates the event
+// loop's real-time cost. If the boundary takes the CPU away (a crash, a
+// forced or deferred preemption), the thread yields with t.handled set
+// and the loop executes nothing for it.
 func (p *Proc) do(req opReq) opRes {
 	t, m := p.t, p.m
 	t.req = req

@@ -100,12 +100,11 @@ type Thread struct {
 	proc *Proc
 
 	// Coroutine handoff (iter.Pull over the thread body). next transfers
-	// control into the thread until it posts its next op or exits; stop
-	// terminates it (the suspended yieldFn call returns false and the body
-	// unwinds via errKilled). A coroutine switch is several times cheaper
-	// than the unbuffered-channel ping-pong it replaced — the handoff is
-	// the dominant real-time cost of the event loop — and keeps the
-	// invariant that exactly one of {machine, thread} runs at a time.
+	// control into the thread until it posts its next op or exits; only
+	// Machine.loop calls it, between two events. stop terminates it (the
+	// suspended yieldFn call returns false and the body unwinds via
+	// errKilled). The coroutine switch is the dominant real-time cost of
+	// the event loop; exactly one of {machine, thread} runs at a time.
 	next    func() (struct{}, bool)
 	stop    func()
 	yieldFn func(struct{}) bool
@@ -126,8 +125,8 @@ type Thread struct {
 	// opCost is the current fixed-cost op's cost, computed once (cache
 	// state mutated, jitter drawn) by Machine.inline.
 	opCost Time
-	// handled tells step that the thread completed its op and boundary
-	// itself and has already left its CPU.
+	// handled tells Machine.loop that the thread completed its op and
+	// boundary itself and has already left its CPU.
 	handled bool
 
 	// Spin bookkeeping (valid while the current op is a spin). The spin
